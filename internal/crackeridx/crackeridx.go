@@ -85,6 +85,14 @@ type node struct {
 type Index struct {
 	root *node
 	size int
+	// ascents counts the boundaries whose position, in bound order, is
+	// greater than the previous boundary's (the first one's is compared
+	// with 0, where the column starts). Each ascent closes one non-empty
+	// piece, so NumPieces needs only this tally and the last position.
+	// Insert, Delete and ShiftPositionsFromBound adjust it from the
+	// in-order neighbours; ShiftPositions and CollapseRange recount it
+	// in the walk they already make.
+	ascents int
 }
 
 // New returns an empty cracker index.
@@ -112,6 +120,11 @@ func (ix *Index) Lookup(b Bound) (int, bool) {
 // Insert records that bound b splits the column at position pos. If the
 // bound already exists its position is overwritten.
 func (ix *Index) Insert(b Bound, pos int) {
+	pred, match, succ := ix.neighbours(b)
+	if match != nil {
+		ix.ascents -= gain(pred, match.pos, succ)
+	}
+	ix.ascents += gain(pred, pos, succ)
 	ix.root = ix.insert(ix.root, b, pos)
 }
 
@@ -136,12 +149,77 @@ func (ix *Index) insert(n *node, b Bound, pos int) *node {
 // whether it was removed. It is used by update policies that merge
 // pieces back together.
 func (ix *Index) Delete(b Bound) bool {
-	var deleted bool
-	ix.root, deleted = ix.delete(ix.root, b)
-	if deleted {
-		ix.size--
+	pred, match, succ := ix.neighbours(b)
+	if match == nil {
+		return false
 	}
-	return deleted
+	ix.ascents -= gain(pred, match.pos, succ)
+	ix.root, _ = ix.delete(ix.root, b)
+	ix.size--
+	return true
+}
+
+// neighbours finds the node holding bound b (match, nil if absent) and
+// the nodes immediately before and after b in bound order (nil at
+// either end).
+func (ix *Index) neighbours(b Bound) (pred, match, succ *node) {
+	n := ix.root
+	for n != nil {
+		switch c := b.Compare(n.bound); {
+		case c < 0:
+			succ = n
+			n = n.left
+		case c > 0:
+			pred = n
+			n = n.right
+		default:
+			if n.left != nil {
+				pred = rightmost(n.left)
+			}
+			if n.right != nil {
+				succ = leftmost(n.right)
+			}
+			return pred, n, succ
+		}
+	}
+	return pred, nil, succ
+}
+
+// gain is the number of ascents a boundary at pos contributes when it
+// sits between the in-order neighbours pred and succ: its own ascent
+// over pred (or over 0 without one), plus its successor's ascent over
+// it in place of the successor's ascent over pred.
+func gain(pred *node, pos int, succ *node) int {
+	prev := 0
+	if pred != nil {
+		prev = pred.pos
+	}
+	g := ascent(prev, pos)
+	if succ != nil {
+		g += ascent(pos, succ.pos) - ascent(prev, succ.pos)
+	}
+	return g
+}
+
+func ascent(prev, pos int) int {
+	if pos > prev {
+		return 1
+	}
+	return 0
+}
+
+func leftmost(n *node) *node {
+	for n.left != nil {
+		n = n.left
+	}
+	return n
+}
+
+func rightmost(n *node) *node {
+	for n.right != nil {
+		n = n.right
+	}
+	return n
 }
 
 func (ix *Index) delete(n *node, b Bound) (*node, bool) {
@@ -250,11 +328,28 @@ func (ix *Index) Pieces(n int) []Piece {
 	return pieces
 }
 
+// NumPieces returns len(ix.Pieces(n)) without building the list. The
+// loop in Pieces emits one piece per ascent and a last piece when the
+// final boundary lies before n (or nothing was emitted), so the count
+// is the ascents tally plus one look at the rightmost position:
+// O(log k), allocation-free.
+func (ix *Index) NumPieces(n int) int {
+	last := 0
+	if ix.root != nil {
+		last = rightmost(ix.root).pos
+	}
+	if last < n || ix.ascents == 0 {
+		return ix.ascents + 1
+	}
+	return ix.ascents
+}
+
 // ShiftPositions adds delta to the position of every boundary whose
 // position is greater than or equal to fromPos. Update policies use it
 // when tuples are inserted into or removed from the middle of the
 // cracker column.
 func (ix *Index) ShiftPositions(fromPos, delta int) {
+	prev, ascents := 0, 0
 	var walk func(*node)
 	walk = func(n *node) {
 		if n == nil {
@@ -264,9 +359,12 @@ func (ix *Index) ShiftPositions(fromPos, delta int) {
 		if n.pos >= fromPos {
 			n.pos += delta
 		}
+		ascents += ascent(prev, n.pos)
+		prev = n.pos
 		walk(n.right)
 	}
 	walk(ix.root)
+	ix.ascents = ascents
 }
 
 // ShiftPositionsFromBound adds delta to the position of every boundary
@@ -274,19 +372,40 @@ func (ix *Index) ShiftPositions(fromPos, delta int) {
 // tuple is placed at the end of its piece, only the boundaries the new
 // value lies to the left of may move, even if other boundaries share
 // the same array position (zero-length pieces).
+//
+// The boundaries that move form a suffix in bound order, so only the
+// first of them can change the ascents tally, and the walk skips the
+// left subtree of every node that orders before b.
 func (ix *Index) ShiftPositionsFromBound(b Bound, delta int) {
-	var walk func(*node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		if n.bound.Compare(b) >= 0 {
-			n.pos += delta
-		}
-		walk(n.right)
+	pred, first, succ := ix.neighbours(b)
+	if first == nil {
+		first = succ
 	}
-	walk(ix.root)
+	if first == nil {
+		return
+	}
+	prev := 0
+	if pred != nil {
+		prev = pred.pos
+	}
+	ix.ascents += ascent(prev, first.pos+delta) - ascent(prev, first.pos)
+	for n := ix.root; n != nil; {
+		if n.bound.Compare(b) < 0 {
+			n = n.right
+			continue
+		}
+		n.pos += delta
+		shiftAll(n.right, delta)
+		n = n.left
+	}
+}
+
+// shiftAll adds delta to the position of every node in the subtree.
+func shiftAll(n *node, delta int) {
+	for ; n != nil; n = n.right {
+		n.pos += delta
+		shiftAll(n.left, delta)
+	}
 }
 
 // CollapseRange records the physical removal of the tuples stored in
@@ -299,6 +418,7 @@ func (ix *Index) CollapseRange(start, end int) {
 		return
 	}
 	width := end - start
+	prev, ascents := 0, 0
 	var walk func(*node)
 	walk = func(n *node) {
 		if n == nil {
@@ -311,29 +431,35 @@ func (ix *Index) CollapseRange(start, end int) {
 		case n.pos > start:
 			n.pos = start
 		}
+		ascents += ascent(prev, n.pos)
+		prev = n.pos
 		walk(n.right)
 	}
 	walk(ix.root)
+	ix.ascents = ascents
 }
 
 // Clear removes all boundaries.
 func (ix *Index) Clear() {
 	ix.root = nil
 	ix.size = 0
+	ix.ascents = 0
 }
 
 // Validate checks the structural invariants of the index against a
 // column of length n: binary-search-tree ordering of the bounds, AVL
 // balance, and monotonically non-decreasing positions in bound order
-// within [0, n]. It returns an error describing the first violation.
-// Tests and the crackview tool use it.
+// within [0, n], and a piece tally that matches a recount. It returns
+// an error describing the first violation. Tests and the crackview tool
+// use it.
 func (ix *Index) Validate(n int) error {
 	if err := validateNode(ix.root, nil, nil); err != nil {
 		return err
 	}
 	bs := ix.Boundaries()
-	prevPos := 0
+	prevPos, ascents := 0, 0
 	for i, b := range bs {
+		ascents += ascent(prevPos, b.Pos)
 		if b.Pos < 0 || b.Pos > n {
 			return fmt.Errorf("boundary %s has position %d outside [0,%d]", b.Bound, b.Pos, n)
 		}
@@ -344,6 +470,9 @@ func (ix *Index) Validate(n int) error {
 		if i > 0 && bs[i-1].Bound.Compare(b.Bound) >= 0 {
 			return fmt.Errorf("boundaries out of order: %s then %s", bs[i-1].Bound, b.Bound)
 		}
+	}
+	if ascents != ix.ascents {
+		return fmt.Errorf("stale piece tally: %d ascents recorded, %d counted", ix.ascents, ascents)
 	}
 	return nil
 }

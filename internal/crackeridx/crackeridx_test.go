@@ -276,8 +276,8 @@ func TestValidateDetectsBadPositions(t *testing.T) {
 	}
 }
 
-// Random insert/delete/lookup torture test against a reference map,
-// also checking AVL balance throughout.
+// Random insert/delete/shift/lookup torture test against a reference
+// map, also checking AVL balance throughout.
 func TestRandomizedAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ix := New()
@@ -285,7 +285,7 @@ func TestRandomizedAgainstReference(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		v := column.Value(rng.Intn(200))
 		b := Bound{Value: v, Inclusive: rng.Intn(2) == 0}
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			pos := rng.Intn(100000)
 			ix.Insert(b, pos)
@@ -297,6 +297,14 @@ func TestRandomizedAgainstReference(t *testing.T) {
 				t.Fatalf("step %d: Delete(%s) = %v, want %v", step, b, got, want)
 			}
 			delete(ref, b)
+		case 3:
+			delta := rng.Intn(200) - 100
+			ix.ShiftPositionsFromBound(b, delta)
+			for rb := range ref {
+				if rb.Compare(b) >= 0 {
+					ref[rb] += delta
+				}
+			}
 		default:
 			pos, ok := ix.Lookup(b)
 			wantPos, wantOK := ref[b]
@@ -307,6 +315,11 @@ func TestRandomizedAgainstReference(t *testing.T) {
 		if ix.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, want %d", step, ix.Len(), len(ref))
 		}
+		// Positions here are random, not monotone in bound order; the
+		// piece count still has to match the list Pieces builds.
+		if got, want := ix.NumPieces(50000), len(ix.Pieces(50000)); got != want {
+			t.Fatalf("step %d: NumPieces = %d, len(Pieces) = %d", step, got, want)
+		}
 	}
 	if err := validateNode(ix.root, nil, nil); err != nil {
 		t.Fatal(err)
@@ -315,9 +328,12 @@ func TestRandomizedAgainstReference(t *testing.T) {
 	if len(bs) != len(ref) {
 		t.Fatalf("Boundaries returned %d entries, want %d", len(bs), len(ref))
 	}
-	for i := 1; i < len(bs); i++ {
-		if bs[i-1].Bound.Compare(bs[i].Bound) >= 0 {
+	for i, b := range bs {
+		if i > 0 && bs[i-1].Bound.Compare(b.Bound) >= 0 {
 			t.Fatal("Boundaries not sorted")
+		}
+		if b.Pos != ref[b.Bound] {
+			t.Fatalf("boundary %s at %d, want %d", b.Bound, b.Pos, ref[b.Bound])
 		}
 	}
 }

@@ -527,7 +527,7 @@ func (e *Engine) parallelFor(t *Table, col string) (*partition.Index, error) {
 	}
 	e.parallels[k] = px
 	e.emit(trace.Event{Kind: kind, Table: t.name, Column: col, Path: PathParallel.String(),
-		Fields: map[string]float64{"rows": float64(len(pairs)), "partitions": float64(len(px.PartitionStats()))}})
+		Fields: map[string]float64{"rows": float64(len(pairs)), "partitions": float64(px.NumPartitions())}})
 	return px, nil
 }
 
@@ -904,11 +904,7 @@ func (e *Engine) piecesFor(tc TableColumn, path AccessPath) int {
 		}
 	case PathParallel:
 		if px, ok := e.parallels[tc]; ok {
-			n := 0
-			for _, p := range px.PartitionStats() {
-				n += p.Pieces
-			}
-			return n
+			return px.NumPieces()
 		}
 	}
 	return 0
@@ -989,9 +985,7 @@ func (e *Engine) Structures() StructureStats {
 		s.MapPieces += ms.NumPieces()
 	}
 	for _, px := range e.parallels {
-		for _, p := range px.PartitionStats() {
-			s.ParallelPieces += p.Pieces
-		}
+		s.ParallelPieces += px.NumPieces()
 	}
 	s.Pieces = s.CrackerPieces + s.MapPieces + s.ParallelPieces
 	return s

@@ -11,7 +11,7 @@ import (
 )
 
 // traceTestEngine builds a two-column engine over deterministic data.
-func traceTestEngine(t *testing.T, n int) *Engine {
+func traceTestEngine(t testing.TB, n int) *Engine {
 	t.Helper()
 	tab := NewTable("data")
 	for ci, off := range []int64{0, 1} {

@@ -269,6 +269,18 @@ type PartitionStat struct {
 	HasLower, HasUpper bool
 }
 
+// NumPieces returns the cracker piece count summed over every
+// partition, without building the per-partition stats.
+func (ix *Index) NumPieces() int {
+	n := 0
+	for _, s := range ix.shards {
+		s.mu.RLock()
+		n += s.cc.NumPieces()
+		s.mu.RUnlock()
+	}
+	return n
+}
+
 // PartitionStats returns one row per partition, in value order.
 func (ix *Index) PartitionStats() []PartitionStat {
 	out := make([]PartitionStat, len(ix.shards))

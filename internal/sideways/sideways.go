@@ -418,11 +418,11 @@ func (ms *MapSet) CountRows(r column.Range) (int, error) {
 }
 
 // NumPieces returns the total number of cracked pieces across every
-// materialised map of the set.
+// materialised map of the set, without allocating.
 func (ms *MapSet) NumPieces() int {
 	total := 0
 	for _, m := range ms.maps {
-		total += len(m.idx.Pieces(len(m.entries)))
+		total += m.idx.NumPieces(len(m.entries))
 	}
 	return total
 }
